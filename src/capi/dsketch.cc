@@ -4,6 +4,7 @@
 #include <optional>
 #include <string_view>
 
+#include "core/subset_sum.h"
 #include "wire/frozen.h"
 
 namespace {
@@ -70,11 +71,11 @@ int dsketch_frozen_query_sum(const void* image, size_t bytes,
   out->items_in_sample = 0;
   std::optional<dsketch::wire::FrozenView> view = VetImage(image, bytes);
   if (!view.has_value() || (items == nullptr && n_items > 0)) return 0;
-  // Accumulate in the image's entry order (membership is a linear scan
-  // of the query set), mirroring the C++ engine's iteration so the
-  // floating-point sum is bit-identical for the same set.
-  const dsketch::wire::FrozenSumResult r =
-      dsketch::wire::FrozenSubsetSum(*view, [&](uint64_t entry_item) {
+  // The C++ engine's estimator over the image's entry order (membership
+  // is a linear scan of the query set), so the floating-point sum is
+  // bit-identical to the engine's answer for the same set.
+  const dsketch::SubsetSumEstimate r =
+      dsketch::EstimateSubsetSum(*view, [&](uint64_t entry_item) {
         for (size_t i = 0; i < n_items; ++i) {
           if (items[i] == entry_item) return true;
         }

@@ -11,12 +11,14 @@
 #ifndef DSKETCH_CORE_FREQUENT_ITEMS_H_
 #define DSKETCH_CORE_FREQUENT_ITEMS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/deterministic_space_saving.h"
 #include "core/unbiased_space_saving.h"
+#include "util/logging.h"
 
 namespace dsketch {
 
@@ -45,6 +47,18 @@ std::vector<SketchEntry> TopK(const DeterministicSpaceSaving& sketch,
 
 /// Top-k entries by estimated count (k > 0), descending.
 std::vector<SketchEntry> TopK(const UnbiasedSpaceSaving& sketch, size_t k);
+
+/// Top-k of an integer-count entry view (core/subset_sum.h): its first
+/// min(k, size) entries, which are the k largest bins (k > 0).
+template <typename View>
+std::vector<SketchEntry> TopEntries(const View& view, size_t k) {
+  DSKETCH_CHECK(k > 0);
+  const size_t n = std::min(k, view.size());
+  std::vector<SketchEntry> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) out.push_back({view.item(i), view.count(i)});
+  return out;
+}
 
 }  // namespace dsketch
 

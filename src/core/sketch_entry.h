@@ -5,6 +5,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace dsketch {
 
@@ -35,6 +37,31 @@ struct WeightedEntry {
   friend bool operator!=(const WeightedEntry& a, const WeightedEntry& b) {
     return !(a == b);
   }
+};
+
+/// An entry's count, whatever its type calls it.
+inline int64_t CountOf(const SketchEntry& e) { return e.count; }
+inline double CountOf(const WeightedEntry& e) { return e.weight; }
+
+/// Entry view (core/subset_sum.h) over a materialized entry list: the
+/// labeled bins in descending count order, plus the sketch's min bin.
+/// `Entry` is SketchEntry or WeightedEntry; the count type follows it.
+template <typename Entry>
+class EntryList {
+ public:
+  using Count = decltype(CountOf(Entry{}));
+
+  EntryList(std::vector<Entry> entries, Count min_count)
+      : entries_(std::move(entries)), min_count_(min_count) {}
+
+  size_t size() const { return entries_.size(); }
+  uint64_t item(size_t i) const { return entries_[i].item; }
+  Count count(size_t i) const { return CountOf(entries_[i]); }
+  Count min_count() const { return min_count_; }
+
+ private:
+  std::vector<Entry> entries_;
+  Count min_count_;
 };
 
 }  // namespace dsketch

@@ -61,6 +61,9 @@ class UnbiasedSpaceSaving {
   /// Labeled bins in descending count order.
   std::vector<SketchEntry> Entries() const { return core_.Entries(); }
 
+  /// Entries() with the min bin: what estimators read.
+  EntryList<SketchEntry> EntryView() const { return {Entries(), MinCount()}; }
+
   /// Access for merge/estimation helpers.
   const SpaceSavingCore& core() const { return core_; }
   SpaceSavingCore& core() { return core_; }

@@ -65,6 +65,11 @@ class WeightedSpaceSaving {
   /// Labeled bins in descending weight order.
   std::vector<WeightedEntry> Entries() const;
 
+  /// Entries() with the min bin: what estimators read.
+  EntryList<WeightedEntry> EntryView() const {
+    return {Entries(), MinWeight()};
+  }
+
   /// Multiplies every bin weight (and the running total) by `factor` > 0.
   /// Used by time-decayed aggregation to renormalize counters.
   void Scale(double factor);
@@ -92,31 +97,6 @@ class WeightedSpaceSaving {
   double total_ = 0.0;
   Rng rng_;
 };
-
-/// Subset-sum estimate over the weighted sketch with the eq. 5 variance
-/// analogue V̂ar = MinWeight()^2 * max(1, C_S).
-struct WeightedSubsetSum {
-  double estimate = 0.0;
-  double variance = 0.0;
-  uint64_t items_in_sample = 0;
-};
-
-/// Estimates the total weight of all items satisfying `pred`.
-template <typename Pred>
-WeightedSubsetSum EstimateSubsetSum(const WeightedSpaceSaving& sketch,
-                                    Pred pred) {
-  WeightedSubsetSum out;
-  for (const WeightedEntry& e : sketch.Entries()) {
-    if (pred(e.item)) {
-      out.estimate += e.weight;
-      ++out.items_in_sample;
-    }
-  }
-  double floor_cs =
-      static_cast<double>(out.items_in_sample > 0 ? out.items_in_sample : 1);
-  out.variance = sketch.MinWeight() * sketch.MinWeight() * floor_cs;
-  return out;
-}
 
 }  // namespace dsketch
 

@@ -1,37 +1,25 @@
 #include "query/engine.h"
 
-#include <algorithm>
-
-#include "core/serialization.h"
+#include "core/frequent_items.h"
 #include "util/logging.h"
 
 namespace dsketch {
 
 SketchQueryEngine::SketchQueryEngine(const UnbiasedSpaceSaving* sketch,
                                      const AttributeTable* attrs)
-    : sketch_(sketch), source_(nullptr), window_source_(nullptr),
-      frozen_(nullptr), attrs_(attrs) {
+    : sketch_(sketch), attrs_(attrs) {
   DSKETCH_CHECK(sketch != nullptr && attrs != nullptr);
 }
 
 SketchQueryEngine::SketchQueryEngine(SketchSource* source,
                                      const AttributeTable* attrs)
-    : sketch_(nullptr), source_(source), window_source_(nullptr),
-      frozen_(nullptr), attrs_(attrs) {
-  DSKETCH_CHECK(source != nullptr && attrs != nullptr);
-}
-
-SketchQueryEngine::SketchQueryEngine(WindowedSketchSource* source,
-                                     const AttributeTable* attrs)
-    : sketch_(nullptr), source_(source), window_source_(source),
-      frozen_(nullptr), attrs_(attrs) {
+    : source_(source), attrs_(attrs) {
   DSKETCH_CHECK(source != nullptr && attrs != nullptr);
 }
 
 SketchQueryEngine::SketchQueryEngine(FrozenSketchSource* source,
                                      const AttributeTable* attrs)
-    : sketch_(nullptr), source_(source), window_source_(nullptr),
-      frozen_(source != nullptr ? &source->frozen() : nullptr),
+    : frozen_(source != nullptr ? &source->frozen() : nullptr),
       attrs_(attrs) {
   DSKETCH_CHECK(source != nullptr && attrs != nullptr);
 }
@@ -40,109 +28,36 @@ const UnbiasedSpaceSaving& SketchQueryEngine::QuerySketch() const {
   return source_ != nullptr ? source_->View() : *sketch_;
 }
 
-const UnbiasedSpaceSaving& SketchQueryEngine::WindowSketch(
-    size_t last_k) const {
-  DSKETCH_CHECK(window_source_ != nullptr);
-  return window_source_->WindowView(last_k);
-}
-
-std::string SketchQueryEngine::SaveState() const {
-  return source_ != nullptr ? source_->SaveSnapshot() : Serialize(*sketch_);
-}
-
-bool SketchQueryEngine::RestoreState(std::string_view bytes) {
-  return source_ != nullptr && source_->RestoreSnapshot(bytes);
+template <typename Fn>
+auto SketchQueryEngine::Read(Fn&& fn) const {
+  if (frozen_ != nullptr) return fn(*frozen_);
+  return fn(QuerySketch().EntryView());
 }
 
 SubsetSumEstimate SketchQueryEngine::Sum(const Predicate& where) const {
-  if (frozen_ != nullptr) {
-    // Zero-decode: FrozenSubsetSum walks the image in entry order with
-    // the same accumulation EstimateSubsetSum uses over Entries(), so
-    // the answer is bit-identical to the thawed path below.
-    const wire::FrozenSumResult r =
-        wire::FrozenSubsetSum(*frozen_, [&](uint64_t item) {
-          return where.Matches(*attrs_, item);
-        });
-    SubsetSumEstimate est;
-    est.estimate = r.estimate;
-    est.variance = r.variance;
-    est.items_in_sample = r.items_in_sample;
-    return est;
-  }
-  return EstimateSubsetSum(QuerySketch(), [&](uint64_t item) {
-    return where.Matches(*attrs_, item);
+  return Read([&](const auto& view) { return Sum(view, where); });
+}
+
+template <typename KeyFn>
+std::unordered_map<uint64_t, SubsetSumEstimate> SketchQueryEngine::GroupBy(
+    const Predicate& where, KeyFn&& key_of) const {
+  return Read([&](const auto& view) {
+    return EstimateGroupBy(
+        view,
+        [&](uint64_t item) {
+          return item < attrs_->num_items() && where.Matches(*attrs_, item);
+        },
+        key_of);
   });
 }
 
-template <typename KeyFn>
-std::unordered_map<uint64_t, SubsetSumEstimate> SketchQueryEngine::GroupByImpl(
-    const UnbiasedSpaceSaving& sketch, const Predicate& where,
-    KeyFn&& key_of) const {
-  struct Acc {
-    double sum = 0.0;
-    uint64_t items = 0;
-  };
-  std::unordered_map<uint64_t, Acc> acc;
-  for (const SketchEntry& e : sketch.Entries()) {
-    // Items the table does not describe belong to no group.
-    if (e.item >= attrs_->num_items()) continue;
-    if (!where.Matches(*attrs_, e.item)) continue;
-    Acc& a = acc[key_of(e.item)];
-    a.sum += static_cast<double>(e.count);
-    ++a.items;
-  }
-  double nmin = static_cast<double>(sketch.MinCount());
-  std::unordered_map<uint64_t, SubsetSumEstimate> out;
-  out.reserve(acc.size());
-  for (const auto& [key, a] : acc) {
-    SubsetSumEstimate est;
-    est.estimate = a.sum;
-    est.items_in_sample = a.items;
-    est.variance =
-        nmin * nmin * static_cast<double>(std::max<uint64_t>(1, a.items));
-    out.emplace(key, est);
-  }
-  return out;
-}
-
-template <typename KeyFn>
-std::unordered_map<uint64_t, SubsetSumEstimate>
-SketchQueryEngine::FrozenGroupByImpl(const Predicate& where,
-                                     KeyFn&& key_of) const {
-  struct Acc {
-    double sum = 0.0;
-    uint64_t items = 0;
-  };
-  std::unordered_map<uint64_t, Acc> acc;
-  const size_t n = static_cast<size_t>(frozen_->entry_count());
-  for (size_t i = 0; i < n; ++i) {
-    const wire::FrozenEntry e = frozen_->entry(i);
-    // Items the table does not describe belong to no group.
-    if (e.item >= attrs_->num_items()) continue;
-    if (!where.Matches(*attrs_, e.item)) continue;
-    Acc& a = acc[key_of(e.item)];
-    a.sum += static_cast<double>(e.count);
-    ++a.items;
-  }
-  double nmin = static_cast<double>(frozen_->min_count());
-  std::unordered_map<uint64_t, SubsetSumEstimate> out;
-  out.reserve(acc.size());
-  for (const auto& [key, a] : acc) {
-    SubsetSumEstimate est;
-    est.estimate = a.sum;
-    est.items_in_sample = a.items;
-    est.variance =
-        nmin * nmin * static_cast<double>(std::max<uint64_t>(1, a.items));
-    out.emplace(key, est);
-  }
-  return out;
-}
-
-namespace {
-
-// GroupBy1's public key type is the attribute value itself.
-std::unordered_map<uint32_t, SubsetSumEstimate> NarrowKeys(
-    const std::unordered_map<uint64_t, SubsetSumEstimate>& wide) {
+std::unordered_map<uint32_t, SubsetSumEstimate> SketchQueryEngine::GroupBy1(
+    size_t dim, const Predicate& where) const {
+  const std::unordered_map<uint64_t, SubsetSumEstimate> wide =
+      GroupBy(where, [&](uint64_t item) {
+        return static_cast<uint64_t>(attrs_->Get(item, dim));
+      });
+  // GroupBy1's public key type is the attribute value itself.
   std::unordered_map<uint32_t, SubsetSumEstimate> out;
   out.reserve(wide.size());
   for (const auto& [key, est] : wide) {
@@ -151,50 +66,22 @@ std::unordered_map<uint32_t, SubsetSumEstimate> NarrowKeys(
   return out;
 }
 
-}  // namespace
-
-std::unordered_map<uint32_t, SubsetSumEstimate> SketchQueryEngine::GroupBy1(
-    size_t dim, const Predicate& where) const {
-  auto key_of = [&](uint64_t item) {
-    return static_cast<uint64_t>(attrs_->Get(item, dim));
-  };
-  if (frozen_ != nullptr) {
-    return NarrowKeys(FrozenGroupByImpl(where, key_of));
-  }
-  return NarrowKeys(GroupByImpl(QuerySketch(), where, key_of));
-}
-
 std::unordered_map<uint64_t, SubsetSumEstimate> SketchQueryEngine::GroupBy2(
     size_t d1, size_t d2, const Predicate& where) const {
-  auto key_of = [&](uint64_t item) {
-    return PackGroupKey(attrs_->Get(item, d1), attrs_->Get(item, d2));
-  };
-  if (frozen_ != nullptr) return FrozenGroupByImpl(where, key_of);
-  return GroupByImpl(QuerySketch(), where, key_of);
-}
-
-SubsetSumEstimate SketchQueryEngine::SumWindow(size_t last_k,
-                                               const Predicate& where) const {
-  return EstimateSubsetSum(WindowSketch(last_k), [&](uint64_t item) {
-    return where.Matches(*attrs_, item);
-  });
-}
-
-std::unordered_map<uint32_t, SubsetSumEstimate>
-SketchQueryEngine::GroupBy1Window(size_t last_k, size_t dim,
-                                  const Predicate& where) const {
-  return NarrowKeys(
-      GroupByImpl(WindowSketch(last_k), where, [&](uint64_t item) {
-        return static_cast<uint64_t>(attrs_->Get(item, dim));
-      }));
-}
-
-std::unordered_map<uint64_t, SubsetSumEstimate>
-SketchQueryEngine::GroupBy2Window(size_t last_k, size_t d1, size_t d2,
-                                  const Predicate& where) const {
-  return GroupByImpl(WindowSketch(last_k), where, [&](uint64_t item) {
+  return GroupBy(where, [&](uint64_t item) {
     return PackGroupKey(attrs_->Get(item, d1), attrs_->Get(item, d2));
   });
+}
+
+std::vector<SketchEntry> SketchQueryEngine::TopK(size_t k) const {
+  return Read([&](const auto& view) { return TopEntries(view, k); });
+}
+
+int64_t SketchQueryEngine::TotalCount() const {
+  // Not through Read: a thawed EntryView() would copy every entry just
+  // to report a header field.
+  return frozen_ != nullptr ? frozen_->total_count()
+                            : QuerySketch().TotalCount();
 }
 
 ExactQueryEngine::ExactQueryEngine(const ExactAggregator* agg,

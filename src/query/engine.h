@@ -12,11 +12,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "core/sketch_entry.h"
 #include "core/subset_sum.h"
 #include "core/unbiased_space_saving.h"
 #include "query/attribute_table.h"
@@ -24,7 +23,6 @@
 #include "query/frozen_source.h"
 #include "query/predicate.h"
 #include "query/sketch_source.h"
-#include "query/windowed_source.h"
 #include "wire/frozen.h"
 
 namespace dsketch {
@@ -34,31 +32,35 @@ inline uint64_t PackGroupKey(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
 
-/// Approximate engine over a sketch plus dimension table.
+/// Approximate engine over a sketch plus dimension table. Every query
+/// runs one body (core/subset_sum.h) over the read target's entry view:
+/// the sketch's EntryView(), or the frozen image itself — so frozen
+/// answers are bit-identical to thawed ones by construction.
 class SketchQueryEngine {
  public:
   /// Both pointers must outlive the engine.
   SketchQueryEngine(const UnbiasedSpaceSaving* sketch,
                     const AttributeTable* attrs);
 
-  /// Engine over any ingestion source (plain or sharded); queries run
-  /// against source->View(), so they always see all flushed rows. Both
-  /// pointers must outlive the engine.
+  /// Engine over any ingestion source (plain, sharded, or windowed);
+  /// queries run against source->View(), so they always see all flushed
+  /// rows. Both pointers must outlive the engine.
   SketchQueryEngine(SketchSource* source, const AttributeTable* attrs);
 
-  /// Engine over a windowed source: plain queries see the full-window
-  /// merge (the source's View), and the *Window variants below scope to
-  /// the newest last_k epochs. Both pointers must outlive the engine.
-  SketchQueryEngine(WindowedSketchSource* source, const AttributeTable* attrs);
-
-  /// Engine over a frozen image (read replica): Sum / GroupBy run
-  /// straight off the image — zero decode, answers bit-identical to an
-  /// engine over the thawed sketch. Both pointers must outlive the
-  /// engine.
+  /// Engine over a frozen image (read replica): queries read the image
+  /// in place — zero decode. Both pointers must outlive the engine.
   SketchQueryEngine(FrozenSketchSource* source, const AttributeTable* attrs);
 
   /// SELECT sum(1) WHERE `where`.
   SubsetSumEstimate Sum(const Predicate& where) const;
+
+  /// SELECT sum(1) WHERE `where` over an explicit entry view (e.g. a
+  /// window's last-k merge or the weighted sketch).
+  template <typename View>
+  SubsetSumEstimate Sum(const View& view, const Predicate& where) const {
+    return EstimateSubsetSum(
+        view, [&](uint64_t item) { return where.Matches(*attrs_, item); });
+  }
 
   /// SELECT sum(1) GROUP BY dim WHERE `where`; key = attribute value.
   std::unordered_map<uint32_t, SubsetSumEstimate> GroupBy1(
@@ -68,60 +70,32 @@ class SketchQueryEngine {
   std::unordered_map<uint64_t, SubsetSumEstimate> GroupBy2(
       size_t d1, size_t d2, const Predicate& where = Predicate()) const;
 
-  /// SELECT sum(1) WHERE `where` over the newest `last_k` epochs
-  /// (0 = the full window). Requires the windowed constructor.
-  SubsetSumEstimate SumWindow(size_t last_k,
-                              const Predicate& where = Predicate()) const;
+  /// The k largest entries, descending (k > 0).
+  std::vector<SketchEntry> TopK(size_t k) const;
 
-  /// 1-way group-by over the newest `last_k` epochs.
-  std::unordered_map<uint32_t, SubsetSumEstimate> GroupBy1Window(
-      size_t last_k, size_t dim, const Predicate& where = Predicate()) const;
-
-  /// 2-way group-by over the newest `last_k` epochs.
-  std::unordered_map<uint64_t, SubsetSumEstimate> GroupBy2Window(
-      size_t last_k, size_t d1, size_t d2,
-      const Predicate& where = Predicate()) const;
-
-  /// True when the engine was built over a windowed source (the
-  /// *Window queries are available).
-  bool windowed() const { return window_source_ != nullptr; }
-
-  /// Serializes the engine's sketch state (wire format, current
-  /// version); restorable into another engine with RestoreState.
-  std::string SaveState() const;
-
-  /// Absorbs saved state into the engine's source (any supported wire
-  /// version). Returns false when the engine wraps a borrowed const
-  /// sketch (no source to restore into) or the bytes are malformed.
-  bool RestoreState(std::string_view bytes);
+  /// Rows the read target has seen (its TotalCount()).
+  int64_t TotalCount() const;
 
  private:
   // The sketch queries run against: `sketch_` when constructed from a
   // plain sketch, otherwise `source_->View()` resolved per query.
   const UnbiasedSpaceSaving& QuerySketch() const;
 
-  // The last_k-scoped merge (CHECKs that the engine is windowed).
-  const UnbiasedSpaceSaving& WindowSketch(size_t last_k) const;
+  // Calls fn(view) on the read target's entry view: the frozen image, or
+  // the query sketch's EntryView().
+  template <typename Fn>
+  auto Read(Fn&& fn) const;
 
-  // Shared group-by body over an explicit sketch view.
+  // Shared group-by body: items the table does not describe belong to no
+  // group.
   template <typename KeyFn>
-  std::unordered_map<uint64_t, SubsetSumEstimate> GroupByImpl(
-      const UnbiasedSpaceSaving& sketch, const Predicate& where,
-      KeyFn&& key_of) const;
-
-  // GroupByImpl mirrored over the frozen image (same accumulation, same
-  // variance arithmetic, entry-for-entry the same iteration order), so
-  // frozen answers are bit-identical to thawed ones.
-  template <typename KeyFn>
-  std::unordered_map<uint64_t, SubsetSumEstimate> FrozenGroupByImpl(
+  std::unordered_map<uint64_t, SubsetSumEstimate> GroupBy(
       const Predicate& where, KeyFn&& key_of) const;
 
-  const UnbiasedSpaceSaving* sketch_;
-  SketchSource* source_;
-  WindowedSketchSource* window_source_;
-  // Set for the frozen constructor: Sum / GroupBy bypass QuerySketch()
-  // and read the image directly.
-  const wire::FrozenView* frozen_;
+  const UnbiasedSpaceSaving* sketch_ = nullptr;
+  SketchSource* source_ = nullptr;
+  // Set for the frozen constructor: queries read the image directly.
+  const wire::FrozenView* frozen_ = nullptr;
   const AttributeTable* attrs_;
 };
 

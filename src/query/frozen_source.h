@@ -3,11 +3,12 @@
 // SNAPSHOT response.
 //
 // Construction is O(1): the image is structurally vetted, never parsed.
-// SketchQueryEngine recognizes this source and serves SUM / TOPK /
-// GROUPBY straight off the image — zero decode, answers bit-identical
-// to the thawed sketch. The SketchSource surface degrades to read-only:
-// Ingest CHECK-fails (a replica never ingests; route writes to a
-// writer node), RestoreSnapshot returns false, and SaveSnapshot returns
+// SketchQueryEngine recognizes this source and reads the image as its
+// entry view (wire::FrozenView), so SUM / TOPK / GROUPBY run straight
+// off the image — zero decode, answers bit-identical to the thawed
+// sketch. The SketchSource surface degrades to read-only: Ingest
+// CHECK-fails (a replica never ingests; route writes to a writer node),
+// RestoreSnapshot returns false, and SaveSnapshot / SaveFrozen return
 // the image itself, so replicas re-serve their snapshot for free.
 //
 // View() is the compatibility escape hatch for code that needs a live
@@ -27,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/frequent_items.h"
 #include "core/serialization.h"
 #include "core/sketch_entry.h"
 #include "query/sketch_source.h"
@@ -110,6 +112,7 @@ class FrozenSketchSource : public SketchSource {
 
   /// The snapshot of a frozen replica is the image itself (no re-encode).
   std::string SaveSnapshot() override { return std::string(view_->bytes()); }
+  std::string SaveFrozen() override { return SaveSnapshot(); }
 
   /// Read-only: nothing restores into a frozen view.
   bool RestoreSnapshot(std::string_view bytes) override {
@@ -136,15 +139,7 @@ class FrozenSketchSource : public SketchSource {
 /// bit-identical to TopK(thawed_sketch, k). k must be > 0.
 inline std::vector<SketchEntry> FrozenTopK(const wire::FrozenView& view,
                                            size_t k) {
-  DSKETCH_CHECK(k > 0);
-  const size_t n = static_cast<size_t>(view.entry_count());
-  std::vector<SketchEntry> out;
-  out.reserve(k < n ? k : n);
-  for (size_t i = 0; i < n && i < k; ++i) {
-    const wire::FrozenEntry e = view.entry(i);
-    out.push_back(SketchEntry{e.item, e.count});
-  }
-  return out;
+  return TopEntries(view, k);
 }
 
 }  // namespace dsketch

@@ -53,6 +53,13 @@ class SketchSource {
     return Serialize(View());
   }
 
+  /// View() as a frozen image (wire/frozen.h), the format read replicas
+  /// serve; a frozen source returns its own image.
+  virtual std::string SaveFrozen() {
+    Flush();
+    return SerializeFrozen(View());
+  }
+
   /// Absorbs a serialized snapshot (any supported wire version) into
   /// this source's state, merging with whatever was already ingested; on
   /// a fresh source this restores the saved estimates exactly. Returns

@@ -131,6 +131,10 @@ enum class Status : uint8_t {
   kBadState = 5,       ///< e.g. RESTORE of malformed sketch bytes
 };
 
+/// Number of Status values (per-status counter arrays are this long).
+inline constexpr size_t kStatusCount =
+    static_cast<size_t>(Status::kBadState) + 1;
+
 /// Which sketch a query, snapshot, or restore addresses.
 enum class QueryScope : uint8_t {
   kCounts = 0,    ///< unit-row Unbiased Space Saving state

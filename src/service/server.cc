@@ -99,8 +99,8 @@ const char* StatusName(Status status) {
 }
 
 obs::Counter& ErrorCounter(Status status) {
-  static std::array<obs::Counter*, 6>* counters = [] {
-    auto* out = new std::array<obs::Counter*, 6>;
+  static std::array<obs::Counter*, kStatusCount>* counters = [] {
+    auto* out = new std::array<obs::Counter*, kStatusCount>;
     for (size_t i = 0; i < out->size(); ++i) {
       (*out)[i] = &obs::MetricsRegistry::Global().GetCounter(
           std::string("dsketch_service_request_errors_total{status=\"") +
@@ -159,9 +159,28 @@ SketchServer::SketchServer(const SketchServerOptions& options,
                            const AttributeTable* attrs)
     : options_(options),
       attrs_(attrs),
-      source_(options.shard, options.merged_capacity, options.seed),
-      engine_(&source_, attrs != nullptr ? attrs : &kEmptyAttrs),
+      writer_(std::make_unique<ShardedSketchSource>(
+          options.shard, options.merged_capacity, options.seed)),
+      counts_(writer_.get()),
+      engine_(writer_.get(), attrs != nullptr ? attrs : &kEmptyAttrs),
       weighted_view_(options.merged_capacity, options.seed) {
+  Configure(options);
+}
+
+SketchServer::SketchServer(const SketchServerOptions& options,
+                           FrozenSketchSource* replica,
+                           const AttributeTable* attrs)
+    : options_(options),
+      attrs_(attrs),
+      counts_(replica),
+      engine_(replica, attrs != nullptr ? attrs : &kEmptyAttrs),
+      weighted_view_(options.merged_capacity, options.seed) {
+  // A replica has no window scope for a wall-clock timer to advance.
+  DSKETCH_CHECK(options.epoch_interval_ms == 0);
+  Configure(options);
+}
+
+void SketchServer::Configure(const SketchServerOptions& options) {
   // The windowed fleet is built lazily on the first windowed frame, so
   // its configuration is vetted here: a bad SketchServerOptions.window
   // must fail at startup, not take down a serving process mid-stream.
@@ -189,9 +208,14 @@ SketchServer::SketchServer(const SketchServerOptions& options,
   // process is the deployment model); a server with both knobs at zero
   // leaves an already-configured collector alone. The previous policy
   // is saved and restored by the destructor so it stays scoped to this
-  // server's lifetime.
+  // server's lifetime. The collector is created here, on the
+  // constructing thread, even when it is left alone: created by the
+  // first request instead, its permanent allocation would sit in the
+  // serve thread's malloc arena and keep the memory a fleet or merged
+  // view frees there from going back to the OS.
+  obs::TraceCollector& collector = obs::TraceCollector::Global();
   if (options.trace_sample > 0 || options.slow_request_us > 0) {
-    saved_trace_config_ = obs::TraceCollector::Global().config();
+    saved_trace_config_ = collector.config();
     configured_tracing_ = true;
     obs::TraceConfig trace_config;
     trace_config.sample_every =
@@ -199,19 +223,9 @@ SketchServer::SketchServer(const SketchServerOptions& options,
             ? uint32_t{0xFFFFFFFF}
             : static_cast<uint32_t>(options.trace_sample);
     trace_config.slow_request_us = options.slow_request_us;
-    obs::TraceCollector::Global().Configure(trace_config);
+    collector.Configure(trace_config);
   }
   RegisterBuildInfo();
-}
-
-SketchServer::SketchServer(const SketchServerOptions& options,
-                           FrozenSketchSource* replica,
-                           const AttributeTable* attrs)
-    : SketchServer(options, attrs) {
-  DSKETCH_CHECK(replica != nullptr);
-  replica_ = replica;
-  replica_engine_ = std::make_unique<SketchQueryEngine>(
-      replica, attrs != nullptr ? attrs : &kEmptyAttrs);
 }
 
 SketchServer::~SketchServer() {
@@ -254,14 +268,6 @@ WindowedSketchSource& SketchServer::Window() {
   return *window_source_;
 }
 
-SketchQueryEngine& SketchServer::WindowEngine() {
-  if (window_engine_ == nullptr) {
-    window_engine_ = std::make_unique<SketchQueryEngine>(
-        &Window(), attrs_ != nullptr ? attrs_ : &kEmptyAttrs);
-  }
-  return *window_engine_;
-}
-
 Status SketchServer::BuildPredicate(const PredicateSpec& spec,
                                     Predicate* out) const {
   if (spec.conditions.empty()) return Status::kOk;
@@ -277,26 +283,7 @@ Status SketchServer::BuildPredicate(const PredicateSpec& spec,
 
 std::string SketchServer::Fail(Opcode opcode, uint64_t request_id,
                                Status status) {
-  ++counters_.errors;
-  switch (status) {
-    case Status::kMalformed:
-      ++counters_.errors_malformed;
-      break;
-    case Status::kUnknownOpcode:
-      ++counters_.errors_unknown_opcode;
-      break;
-    case Status::kUnsupported:
-      ++counters_.errors_unsupported;
-      break;
-    case Status::kTooLarge:
-      ++counters_.errors_too_large;
-      break;
-    case Status::kBadState:
-      ++counters_.errors_bad_state;
-      break;
-    case Status::kOk:
-      break;
-  }
+  ++counters_.errors[static_cast<size_t>(status)];
   ErrorCounter(status).Inc();
   return EncodeErrorResponse(opcode, request_id, status);
 }
@@ -441,7 +428,7 @@ std::string SketchServer::HandleIngestBatch(const RequestHeader& header,
   if (!decoded) {
     return Fail(header.opcode, header.request_id, Status::kMalformed);
   }
-  if (replica_ != nullptr) {
+  if (writer_ == nullptr) {
     // Replicas are read-only; rows belong on a writer node.
     return Fail(header.opcode, header.request_id, Status::kUnsupported);
   }
@@ -454,7 +441,7 @@ std::string SketchServer::HandleIngestBatch(const RequestHeader& header,
     window.IngestEpoch(Span<const EpochRow>(rows.data(), rows.size()));
     counters_.windowed_rows_ingested += rows.size();
   } else if (req.weights.empty()) {
-    source_.Ingest(Span<const uint64_t>(req.items.data(), req.items.size()));
+    writer_->Ingest(Span<const uint64_t>(req.items.data(), req.items.size()));
     counters_.rows_ingested += req.items.size();
   } else {
     std::vector<WeightedEntry> rows;
@@ -489,8 +476,7 @@ std::string SketchServer::HandleQuerySum(const RequestHeader& header,
   if (status != Status::kOk) {
     return Fail(header.opcode, header.request_id, status);
   }
-  if (replica_ != nullptr && req.scope != QueryScope::kCounts) {
-    // The image holds only the counts sketch.
+  if (ReplicaRefuses(req.scope)) {
     return Fail(header.opcode, header.request_id, Status::kUnsupported);
   }
   ++counters_.queries;
@@ -498,28 +484,19 @@ std::string SketchServer::HandleQuerySum(const RequestHeader& header,
   {
     obs::ScopedSpan span("query_reduce", obs::TraceLayer::kQuery);
     span.Annotate("scope", static_cast<uint64_t>(req.scope));
+    SubsetSumEstimate est;
     if (req.scope == QueryScope::kCounts) {
-      SubsetSumEstimate est =
-          replica_ != nullptr ? replica_engine_->Sum(pred) : engine_.Sum(pred);
-      rsp.estimate = est.estimate;
-      rsp.variance = est.variance;
-      rsp.items_in_sample = est.items_in_sample;
+      est = engine_.Sum(pred);
     } else if (req.scope == QueryScope::kWindow) {
-      SubsetSumEstimate est =
-          WindowEngine().SumWindow(static_cast<size_t>(req.last_k), pred);
-      rsp.estimate = est.estimate;
-      rsp.variance = est.variance;
-      rsp.items_in_sample = est.items_in_sample;
+      est = engine_.Sum(
+          Window().WindowView(static_cast<size_t>(req.last_k)).EntryView(),
+          pred);
     } else {
-      const bool match_all = req.where.conditions.empty();
-      WeightedSubsetSum est =
-          EstimateSubsetSum(WeightedView(), [&](uint64_t item) {
-            return match_all || pred.Matches(*attrs_, item);
-          });
-      rsp.estimate = est.estimate;
-      rsp.variance = est.variance;
-      rsp.items_in_sample = est.items_in_sample;
+      est = engine_.Sum(WeightedView().EntryView(), pred);
     }
+    rsp.estimate = est.estimate;
+    rsp.variance = est.variance;
+    rsp.items_in_sample = est.items_in_sample;
   }
   obs::ScopedSpan span("wire_encode", obs::TraceLayer::kWire);
   return EncodeQuerySumResponse(header.request_id, rsp);
@@ -536,7 +513,7 @@ std::string SketchServer::HandleQueryTopK(const RequestHeader& header,
   if (!decoded) {
     return Fail(header.opcode, header.request_id, Status::kMalformed);
   }
-  if (replica_ != nullptr && req.scope != QueryScope::kCounts) {
+  if (ReplicaRefuses(req.scope)) {
     return Fail(header.opcode, header.request_id, Status::kUnsupported);
   }
   ++counters_.queries;
@@ -547,15 +524,7 @@ std::string SketchServer::HandleQueryTopK(const RequestHeader& header,
     span.Annotate("scope", static_cast<uint64_t>(req.scope));
     span.Annotate("k", req.k);
     if (req.scope == QueryScope::kCounts) {
-      if (replica_ != nullptr) {
-        // The image stores entries in descending order: top-k is its
-        // first k records, no decode or sort.
-        rsp.counts =
-            FrozenTopK(replica_->frozen(), static_cast<size_t>(req.k));
-      } else {
-        source_.Flush();
-        rsp.counts = TopK(source_.View(), static_cast<size_t>(req.k));
-      }
+      rsp.counts = engine_.TopK(static_cast<size_t>(req.k));
     } else if (req.scope == QueryScope::kWindow) {
       // WindowView's merge flushes the fleet whenever the view is dirty.
       rsp.counts = TopK(Window().WindowView(static_cast<size_t>(req.last_k)),
@@ -596,17 +565,15 @@ std::string SketchServer::HandleQueryGroupBy(const RequestHeader& header,
       rsp.groups.push_back(
           {key, est.estimate, est.variance, est.items_in_sample});
     };
-    SketchQueryEngine& engine =
-        replica_ != nullptr ? *replica_engine_ : engine_;
     if (req.has_dim2) {
       for (const auto& [key, est] :
-           engine.GroupBy2(static_cast<size_t>(req.dim1),
+           engine_.GroupBy2(static_cast<size_t>(req.dim1),
                            static_cast<size_t>(req.dim2), pred)) {
         add_group(key, est);
       }
     } else {
       for (const auto& [key, est] :
-           engine.GroupBy1(static_cast<size_t>(req.dim1), pred)) {
+           engine_.GroupBy1(static_cast<size_t>(req.dim1), pred)) {
         add_group(key, est);
       }
     }
@@ -631,25 +598,14 @@ std::string SketchServer::HandleSnapshot(const RequestHeader& header,
   if (req.frozen && req.scope != QueryScope::kCounts) {
     return Fail(header.opcode, header.request_id, Status::kUnsupported);
   }
-  if (replica_ != nullptr && req.scope != QueryScope::kCounts) {
+  if (ReplicaRefuses(req.scope)) {
     return Fail(header.opcode, header.request_id, Status::kUnsupported);
   }
   ++counters_.snapshots;
   SnapshotResponse rsp;
-  SnapshotFormat format = SnapshotFormat::kStream;
-  if (replica_ != nullptr) {
-    // A replica's state IS a frozen image: re-serve it byte-for-byte
-    // whether or not the client asked for frozen.
-    rsp.blob = replica_->SaveSnapshot();
-    format = SnapshotFormat::kFrozen;
-  } else if (req.scope == QueryScope::kCounts) {
-    if (req.frozen) {
-      source_.Flush();
-      rsp.blob = SerializeFrozen(source_.View());
-      format = SnapshotFormat::kFrozen;
-    } else {
-      rsp.blob = source_.SaveSnapshot();
-    }
+  if (req.scope == QueryScope::kCounts) {
+    // A replica re-serves its image byte for byte either way.
+    rsp.blob = req.frozen ? counts_->SaveFrozen() : counts_->SaveSnapshot();
   } else if (req.scope == QueryScope::kWindow) {
     rsp.blob = Window().SaveSnapshot();  // the full epoch ring
   } else {
@@ -660,7 +616,7 @@ std::string SketchServer::HandleSnapshot(const RequestHeader& header,
   if (rsp.blob.size() > kMaxSnapshotBlobBytes) {
     return Fail(header.opcode, header.request_id, Status::kTooLarge);
   }
-  counters_.last_snapshot_format = format;
+  counters_.last_snapshot_format = BlobSnapshotFormat(rsp.blob);
   counters_.last_snapshot_bytes = rsp.blob.size();
   obs::ScopedSpan span("wire_encode", obs::TraceLayer::kWire);
   span.Annotate("blob_bytes", rsp.blob.size());
@@ -673,16 +629,16 @@ std::string SketchServer::HandleRestore(const RequestHeader& header,
   if (!DecodeRestoreRequest(reader, &req)) {
     return Fail(header.opcode, header.request_id, Status::kMalformed);
   }
-  if (replica_ != nullptr) {
+  if (writer_ == nullptr) {
     // Replicas are read-only; nothing restores into a frozen image.
     return Fail(header.opcode, header.request_id, Status::kUnsupported);
   }
   RestoreResponse rsp;
   if (req.scope == QueryScope::kCounts) {
-    if (!source_.RestoreSnapshot(req.blob)) {
+    if (!writer_->RestoreSnapshot(req.blob)) {
       return Fail(header.opcode, header.request_id, Status::kBadState);
     }
-    rsp.num_absorbed = source_.sharded().num_absorbed();
+    rsp.num_absorbed = writer_->sharded().num_absorbed();
   } else if (req.scope == QueryScope::kWindow) {
     if (!Window().RestoreSnapshot(req.blob)) {
       return Fail(header.opcode, header.request_id, Status::kBadState);
@@ -712,21 +668,18 @@ StatsResponse SketchServer::Stats() {
   out.queries = counters_.queries;
   out.snapshots = counters_.snapshots;
   out.restores = counters_.restores;
-  out.errors = counters_.errors;
-  out.errors_malformed = counters_.errors_malformed;
-  out.errors_unknown_opcode = counters_.errors_unknown_opcode;
-  out.errors_unsupported = counters_.errors_unsupported;
-  out.errors_too_large = counters_.errors_too_large;
-  out.errors_bad_state = counters_.errors_bad_state;
-  out.num_shards = source_.sharded().num_shards();
-  if (replica_ != nullptr) {
-    // Replica totals come off the image header; the (empty) writer
-    // fleet underneath never sees a row.
-    out.total_count = replica_->frozen().total_count();
-  } else {
-    source_.Flush();
-    out.total_count = source_.View().TotalCount();
-  }
+  for (uint64_t n : counters_.errors) out.errors += n;
+  auto errors = [this](Status status) {
+    return counters_.errors[static_cast<size_t>(status)];
+  };
+  out.errors_malformed = errors(Status::kMalformed);
+  out.errors_unknown_opcode = errors(Status::kUnknownOpcode);
+  out.errors_unsupported = errors(Status::kUnsupported);
+  out.errors_too_large = errors(Status::kTooLarge);
+  out.errors_bad_state = errors(Status::kBadState);
+  // A replica has no fleet; its total comes off the image header.
+  out.num_shards = writer_ != nullptr ? writer_->sharded().num_shards() : 0;
+  out.total_count = engine_.TotalCount();
   out.total_weight =
       weighted_ != nullptr ? WeightedView().TotalWeight() : 0.0;
   out.last_snapshot_format = counters_.last_snapshot_format;

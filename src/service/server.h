@@ -25,6 +25,7 @@
 #ifndef DSKETCH_SERVICE_SERVER_H_
 #define DSKETCH_SERVICE_SERVER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -107,12 +108,15 @@ class SketchServer {
                         const AttributeTable* attrs = nullptr);
 
   /// Read-replica server over a frozen image (`dsketchd --replica`):
-  /// counts-scope queries are answered straight off the image via the
-  /// engine's zero-decode path, SNAPSHOT re-serves the image itself, and
-  /// everything that would mutate or miss the image (INGEST, RESTORE,
-  /// weighted/window scopes) answers Status::kUnsupported. `replica`
-  /// must be non-null and outlive the server; callers should Validate()
-  /// untrusted images first.
+  /// the image is the counts scope's read target, so queries are
+  /// answered straight off it via the engine's zero-decode path,
+  /// SNAPSHOT re-serves the image itself, and everything that would
+  /// mutate or miss the image (INGEST, RESTORE, weighted/window scopes)
+  /// answers Status::kUnsupported. A replica builds no shard fleet and
+  /// starts no threads; it has no window scope, so
+  /// options.epoch_interval_ms must be 0. `replica` must be non-null and
+  /// outlive the server; callers should Validate() untrusted images
+  /// first.
   SketchServer(const SketchServerOptions& options, FrozenSketchSource* replica,
                const AttributeTable* attrs);
 
@@ -131,10 +135,6 @@ class SketchServer {
 
   /// True once a SHUTDOWN request has been handled.
   bool shutdown_requested() const { return shutdown_; }
-
-  /// The unit-row ingestion source queries run against (exposed so
-  /// embedders and tests can reach the underlying fleet).
-  ShardedSketchSource& source() { return source_; }
 
   /// Current counters (same numbers a STATS request reports).
   StatsResponse Stats();
@@ -161,9 +161,9 @@ class SketchServer {
   std::string HandleTrace(const RequestHeader& header,
                           wire::VarintReader& reader);
 
-  // The single error-response chokepoint: bumps the total and
-  // per-status error counters (STATS) and the labeled obs series, then
-  // encodes the header-only error response.
+  // The single error-response chokepoint: bumps the per-status error
+  // counter (STATS) and the labeled obs series, then encodes the
+  // header-only error response.
   std::string Fail(Opcode opcode, uint64_t request_id, Status status);
 
   // Lazily boots the weighted fleet (first weighted ingest/restore).
@@ -173,10 +173,19 @@ class SketchServer {
   // last call (mirrors ShardedSketchSource's snapshot cache).
   const WeightedSpaceSaving& WeightedView();
 
-  // Lazily boots the windowed source + engine (first windowed
+  // Lazily boots the windowed source (first windowed
   // ingest/query/restore); the source caches its own merged views.
   WindowedSketchSource& Window();
-  SketchQueryEngine& WindowEngine();
+
+  // Vets `options` and applies its process-wide settings (both
+  // constructors).
+  void Configure(const SketchServerOptions& options);
+
+  // True on a replica for every scope but counts: the image holds only
+  // the counts sketch.
+  bool ReplicaRefuses(QueryScope scope) const {
+    return writer_ == nullptr && scope != QueryScope::kCounts;
+  }
 
   // Builds a Predicate from `spec`, validating dimensions. Returns
   // kOk, kMalformed (bad dim), or kUnsupported (no attribute table).
@@ -194,16 +203,15 @@ class SketchServer {
 
   SketchServerOptions options_;
   const AttributeTable* attrs_;
-  ShardedSketchSource source_;
+  // The counts scope's read target: the unit-row shard fleet on a
+  // writer; on a replica (writer_ null) the borrowed frozen image. One
+  // engine answers every read over it, and over the other scopes' views.
+  std::unique_ptr<ShardedSketchSource> writer_;
+  SketchSource* counts_;
   SketchQueryEngine engine_;
-  // Replica mode (see the replica constructor): borrowed image source
-  // plus a zero-decode engine over it; both null for writer servers.
-  FrozenSketchSource* replica_ = nullptr;
-  std::unique_ptr<SketchQueryEngine> replica_engine_;
   std::unique_ptr<ShardedWeightedSpaceSaving> weighted_;
   WeightedSpaceSaving weighted_view_;
   std::unique_ptr<WindowedSketchSource> window_source_;
-  std::unique_ptr<SketchQueryEngine> window_engine_;
   bool weighted_dirty_ = false;
   bool shutdown_ = false;
   // Set when the constructor applied this server's sampling knobs to
@@ -220,12 +228,7 @@ class SketchServer {
     uint64_t queries = 0;
     uint64_t snapshots = 0;
     uint64_t restores = 0;
-    uint64_t errors = 0;
-    uint64_t errors_malformed = 0;
-    uint64_t errors_unknown_opcode = 0;
-    uint64_t errors_unsupported = 0;
-    uint64_t errors_too_large = 0;
-    uint64_t errors_bad_state = 0;
+    std::array<uint64_t, kStatusCount> errors{};  // indexed by Status
     SnapshotFormat last_snapshot_format = SnapshotFormat::kNone;
     uint64_t last_snapshot_bytes = 0;
     SnapshotFormat last_restore_format = SnapshotFormat::kNone;

@@ -31,7 +31,12 @@
 //
 // min_count / total_count are the bin-range metadata unbiased SUM needs
 // (paper eq. 5 variance = Nmin^2 * max(1, C_S)); the descending entry
-// order is what TOPK needs. Nothing else of the sketch travels.
+// order is what TOPK needs. Nothing else of the sketch travels. A
+// FrozenView is therefore itself an entry view (size / item / count /
+// min_count, the surface core/subset_sum.h documents), and
+// the one subset-sum estimator reads it directly: the same loop over the
+// same canonical order as a thawed sketch's Entries(), so frozen answers
+// are bit-identical to thawed ones by construction.
 //
 // Trust model: FrozenView::Vet performs strict O(1) *structural*
 // validation — envelope, exact image size, section alignment, bounds,
@@ -152,12 +157,21 @@ class FrozenView {
 
   /// Entry `i` (caller keeps i < entry_count(); reads are memcpy loads,
   /// so no base-pointer alignment is required of the backing bytes).
-  FrozenEntry entry(size_t i) const {
-    FrozenEntry e;
-    const unsigned char* p = base_ + entries_offset_ + i * kFrozenEntryBytes;
-    std::memcpy(&e.item, p, 8);
-    std::memcpy(&e.count, p + 8, 8);
-    return e;
+  FrozenEntry entry(size_t i) const { return FrozenEntry{item(i), count(i)}; }
+
+  /// The entry-view surface (core/subset_sum.h reads it through these,
+  /// so SUM and GROUPBY run straight off the image): entries in
+  /// canonical order, each field loaded on its own.
+  size_t size() const { return static_cast<size_t>(entry_count_); }
+  uint64_t item(size_t i) const {
+    uint64_t v;
+    std::memcpy(&v, base_ + entries_offset_ + i * kFrozenEntryBytes, 8);
+    return v;
+  }
+  int64_t count(size_t i) const {
+    int64_t v;
+    std::memcpy(&v, base_ + entries_offset_ + i * kFrozenEntryBytes + 8, 8);
+    return v;
   }
 
   /// Point estimate via the hash index: the entry count when `item` is
@@ -193,38 +207,6 @@ class FrozenView {
   size_t index_offset_ = 0;
   size_t index_slots_ = 0;
 };
-
-/// Subset-sum result over a frozen view; mirrors core's
-/// SubsetSumEstimate fields without the core dependency.
-struct FrozenSumResult {
-  double estimate = 0.0;
-  double variance = 0.0;
-  uint64_t items_in_sample = 0;
-};
-
-/// The unbiased subset-sum estimator evaluated straight off the image.
-/// The loop mirrors core/subset_sum.cc EstimateSubsetSumFromEntries
-/// term-for-term (same double accumulation over the same canonical entry
-/// order, variance = Nmin^2 * max(1, C_S)), so answers are bit-identical
-/// to the thawed sketch — pinned by frozen_test and the bench_wire CI
-/// smoke, which fail if the two implementations ever drift.
-template <typename Pred>
-FrozenSumResult FrozenSubsetSum(const FrozenView& view, Pred&& pred) {
-  FrozenSumResult out;
-  const size_t n = static_cast<size_t>(view.entry_count());
-  for (size_t i = 0; i < n; ++i) {
-    const FrozenEntry e = view.entry(i);
-    if (pred(e.item)) {
-      out.estimate += static_cast<double>(e.count);
-      ++out.items_in_sample;
-    }
-  }
-  const double nmin = static_cast<double>(view.min_count());
-  const double c_s = static_cast<double>(
-      out.items_in_sample > 1 ? out.items_in_sample : uint64_t{1});
-  out.variance = nmin * nmin * c_s;
-  return out;
-}
 
 }  // namespace wire
 }  // namespace dsketch

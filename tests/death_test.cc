@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "frequency/misra_gries.h"
 #include "sampling/bottom_k.h"
 #include "core/serialization.h"
+#include "query/frozen_source.h"
 #include "query/windowed_source.h"
 #include "sampling/pps.h"
 #include "sampling/priority_sampling.h"
@@ -140,6 +142,17 @@ TEST(DeathTest, ServerVetsWindowConfigAtStartup) {
   SketchServerOptions big_merged;
   big_merged.merged_capacity = static_cast<size_t>(kMaxSerializableCapacity) + 1;
   EXPECT_DEATH(SketchServer{big_merged}, "CHECK failed");
+}
+
+TEST(DeathTest, ReplicaServerRefusesTheEpochTimer) {
+  // A replica has no window scope: a wall-clock timer would only boot a
+  // windowed fleet nothing can query (dsketchd rejects the flag pair).
+  std::optional<FrozenSketchSource> image =
+      FrozenSketchSource::FromBlob(SerializeFrozen(UnbiasedSpaceSaving(8)));
+  ASSERT_TRUE(image.has_value());
+  SketchServerOptions timed;
+  timed.epoch_interval_ms = 5;
+  EXPECT_DEATH(SketchServer(timed, &*image, nullptr), "CHECK failed");
 }
 
 TEST(DeathTest, WindowedSourceRejectsStampsPastTheClockCap) {

@@ -7,6 +7,8 @@
 // covered too: CombineSerialized never looks past DeserializeUnbiased's
 // envelope dispatch.
 
+#include <dirent.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +31,7 @@
 #include "query/frozen_source.h"
 #include "query/predicate.h"
 #include "service/client.h"
+#include "service/protocol.h"
 #include "service/server.h"
 #include "service/transport.h"
 #include "util/mmap_array.h"
@@ -309,6 +312,68 @@ TEST(FrozenTest, ReplicaServerServesImageReadOnly) {
 
   EXPECT_TRUE(client.Shutdown());
   serve.join();
+}
+
+// Threads of this process, counted the way ps does: one /proc/self/task
+// entry each.
+size_t ThreadCount() {
+  size_t n = 0;
+  if (DIR* dir = opendir("/proc/self/task")) {
+    while (dirent* e = readdir(dir)) {
+      if (e->d_name[0] != '.') ++n;
+    }
+    closedir(dir);
+  }
+  return n;
+}
+
+// A replica's read target is the image, so building and serving one
+// starts no threads: no shard workers, and no fleet for a scope the
+// image does not hold.
+TEST(FrozenTest, ReplicaServerStartsNoThreads) {
+  const size_t before = ThreadCount();
+  ASSERT_GT(before, 0u) << "no /proc/self/task to count threads in";
+  UnbiasedSpaceSaving sketch = MakeSketch(32, 100, 3000);
+  AttributeTable attrs = MakeAttrs(100);
+  std::optional<FrozenSketchSource> source =
+      FrozenSketchSource::FromBlob(SerializeFrozen(sketch), 7);
+  ASSERT_TRUE(source.has_value());
+  SketchServerOptions options;
+  options.shard.num_shards = 4;
+  SketchServer server(options, &*source, &attrs);
+  EXPECT_EQ(ThreadCount(), before);
+
+  auto status_of = [](const std::string& response) {
+    wire::VarintReader reader(response);
+    ResponseHeader header;
+    EXPECT_TRUE(DecodeResponseHeader(reader, &header));
+    return header.status;
+  };
+  QuerySumRequest sum;
+  EXPECT_EQ(status_of(server.HandleRequest(EncodeQuerySumRequest(1, sum))),
+            Status::kOk);
+  QueryTopKRequest topk;
+  topk.k = 5;
+  EXPECT_EQ(status_of(server.HandleRequest(EncodeQueryTopKRequest(2, topk))),
+            Status::kOk);
+  QueryGroupByRequest group;
+  EXPECT_EQ(
+      status_of(server.HandleRequest(EncodeQueryGroupByRequest(3, group))),
+      Status::kOk);
+  EXPECT_EQ(status_of(server.HandleRequest(
+                EncodeSnapshotRequest(4, SnapshotRequest{}))),
+            Status::kOk);
+  EXPECT_EQ(status_of(server.HandleRequest(EncodeStatsRequest(5))),
+            Status::kOk);
+  // Scopes the image does not hold are refused without booting them.
+  sum.scope = QueryScope::kWindow;
+  EXPECT_EQ(status_of(server.HandleRequest(EncodeQuerySumRequest(6, sum))),
+            Status::kUnsupported);
+  sum.scope = QueryScope::kWeighted;
+  EXPECT_EQ(status_of(server.HandleRequest(EncodeQuerySumRequest(7, sum))),
+            Status::kUnsupported);
+  EXPECT_EQ(ThreadCount(), before);
+  EXPECT_EQ(server.Stats().num_shards, 0u);
 }
 
 TEST(FrozenTest, CapiFreezesAndQueries) {

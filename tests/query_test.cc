@@ -241,7 +241,7 @@ TEST(SketchEngineTest, GroupByVarianceMatchesSubsetFormula) {
   EXPECT_DOUBLE_EQ(groups[0].variance, 200.0);
 }
 
-TEST(SketchEngineTest, SaveAndRestoreEngineState) {
+TEST(SketchEngineTest, SaveAndRestoreSourceState) {
   AttributeTable table = SmallTable();
   std::vector<uint64_t> rows;
   Rng rng(190);
@@ -250,13 +250,13 @@ TEST(SketchEngineTest, SaveAndRestoreEngineState) {
   PlainSketchSource source(8, 5);
   source.Ingest(rows);
   SketchQueryEngine engine(&source, &table);
-  const std::string state = engine.SaveState();
+  const std::string state = source.SaveSnapshot();
 
-  // A fresh plain-source engine restores the saved estimates exactly
+  // A fresh plain source restores the saved estimates exactly
   // (capacity 8 >= 4 distinct items, so every estimate is exact).
   PlainSketchSource restored_source(8, 9);
   SketchQueryEngine restored(&restored_source, &table);
-  ASSERT_TRUE(restored.RestoreState(state));
+  ASSERT_TRUE(restored_source.RestoreSnapshot(state));
   Predicate red = Predicate().WhereEq(0, 0);
   EXPECT_DOUBLE_EQ(restored.Sum(Predicate()).estimate,
                    engine.Sum(Predicate()).estimate);
@@ -271,23 +271,19 @@ TEST(SketchEngineTest, SaveAndRestoreEngineState) {
   restored_source.Ingest(rows);
   EXPECT_DOUBLE_EQ(restored.Sum(Predicate()).estimate, 4000.0);
 
-  // A sharded-source engine absorbs the same bytes.
+  // A sharded source absorbs the same bytes.
   ShardedSketchOptions opts;
   opts.num_shards = 2;
   opts.shard_capacity = 64;
   opts.seed = 11;
   ShardedSketchSource sharded_source(opts, 64, 12);
   SketchQueryEngine sharded_engine(&sharded_source, &table);
-  ASSERT_TRUE(sharded_engine.RestoreState(state));
+  ASSERT_TRUE(sharded_source.RestoreSnapshot(state));
   EXPECT_DOUBLE_EQ(sharded_engine.Sum(Predicate()).estimate,
                    engine.Sum(Predicate()).estimate);
 
-  // Engines over a borrowed const sketch have no source to restore
-  // into; malformed bytes are rejected without touching state.
-  UnbiasedSpaceSaving direct(8, 1);
-  SketchQueryEngine borrowed(&direct, &table);
-  EXPECT_FALSE(borrowed.RestoreState(state));
-  EXPECT_FALSE(restored.RestoreState("garbage"));
+  // Malformed bytes are rejected without touching state.
+  EXPECT_FALSE(restored_source.RestoreSnapshot("garbage"));
   EXPECT_DOUBLE_EQ(restored.Sum(Predicate()).estimate, 4000.0);
 }
 

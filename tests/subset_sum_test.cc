@@ -143,13 +143,12 @@ TEST(SubsetSumTest, CoverageNearNominalOnLargeSubsets) {
             0.942 - 3 * std::sqrt(0.95 * 0.05 / trials));
 }
 
-TEST(SubsetSumTest, EntriesOverloadMatchesSketchOverload) {
+TEST(SubsetSumTest, EntryViewMatchesSketchOverload) {
   UnbiasedSpaceSaving sketch(8, 4);
   for (int i = 0; i < 3000; ++i) sketch.Update(i % 50);
   auto direct = EstimateSubsetSum(sketch, [](uint64_t x) { return x < 25; });
-  auto via_entries = EstimateSubsetSumFromEntries(
-      sketch.Entries(), sketch.MinCount(),
-      [](uint64_t x) { return x < 25; });
+  auto via_entries = EstimateSubsetSum(sketch.EntryView(),
+                                       [](uint64_t x) { return x < 25; });
   EXPECT_EQ(direct.estimate, via_entries.estimate);
   EXPECT_EQ(direct.variance, via_entries.variance);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/decayed_space_saving.h"
+#include "core/subset_sum.h"
 #include "core/weighted_space_saving.h"
 #include "stats/welford.h"
 #include "stream/generators.h"

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/serialization.h"
+#include "core/subset_sum.h"
 #include "util/random.h"
 #include "util/span.h"
 #include "window/window_wire.h"
@@ -539,8 +540,8 @@ TEST(WireAdversarialTest, FrozenContentLiesAreSafeToQueryAndRejectedByThaw) {
   PatchU64(&scrambled, kFrozenEntriesOffset + 8, 0);  // first count := 0
   view = wire::FrozenView::Vet(scrambled);
   ASSERT_TRUE(view.has_value());
-  const wire::FrozenSumResult sum =
-      wire::FrozenSubsetSum(*view, [](uint64_t) { return true; });
+  const SubsetSumEstimate sum =
+      EstimateSubsetSum(*view, [](uint64_t) { return true; });
   (void)sum;  // any value; the traversal itself is what is under test
   EXPECT_FALSE(ThawFrozen(scrambled, 3).has_value());
 

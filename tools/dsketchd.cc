@@ -53,6 +53,8 @@
 //                         --metrics-interval-ms, plus once at exit;
 //                         same atomic tmp-file + rename discipline
 //   --replica=PATH        serve the frozen image at PATH read-only
+//                         (no window scope, so not with
+//                         --epoch-interval-ms)
 //   --smoke               run the self-contained two-node scenario
 //
 // Every mode installs the flight-recorder fatal hook: a CHECK failure
@@ -541,7 +543,9 @@ int RunSmoke(SketchServerOptions options) {
     return fail("frozen image map + vet");
   }
   {
-    Node node_r(options, &*image);
+    SketchServerOptions options_r = options;
+    options_r.epoch_interval_ms = 0;  // a replica has no window scope
+    Node node_r(options_r, &*image);
     SketchClient& client_r = node_r.client;
 
     // Thawed reference: a fresh node restores the SAME frozen bytes
@@ -626,6 +630,13 @@ int Run(int argc, char** argv) {
                  static_cast<long long>(options.epoch_interval_ms));
     return 2;
   }
+  const std::string replica_path = FlagStr(argc, argv, "replica", "");
+  if (!replica_path.empty() && options.epoch_interval_ms > 0) {
+    std::fprintf(stderr,
+                 "dsketchd: --epoch-interval-ms needs a writer; a --replica "
+                 "has no window scope\n");
+    return 2;
+  }
   if (options.slow_request_us < 0) {
     std::fprintf(stderr,
                  "dsketchd: --slow-request-us must be >= 0 (got %lld)\n",
@@ -657,7 +668,6 @@ int Run(int argc, char** argv) {
                              FlagStr(argc, argv, "metrics-file", ""),
                              FlagStr(argc, argv, "trace-file", ""));
 
-  const std::string replica_path = FlagStr(argc, argv, "replica", "");
   if (!replica_path.empty()) {
     // Read-replica mode: mmap the frozen image, vet it structurally
     // (O(1)), then deep-validate the content once (O(n)) — the file is
